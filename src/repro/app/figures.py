@@ -10,7 +10,7 @@ functions, so paper figures are regenerated from a single code path.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Callable
+from typing import Any, Callable
 
 from repro.aggregation.parameters import AggregationParameters
 from repro.datagen.scenarios import Scenario, ScenarioConfig, generate_scenario
@@ -28,9 +28,6 @@ from repro.views.profile_view import ProfileView, ProfileViewOptions
 from repro.views.schematic import SchematicView
 from repro.views.selection import SelectionRectangle
 from repro.views.tooltip import describe, overlay
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.session.facade import FlexSession
 
 
 @dataclass
@@ -56,13 +53,6 @@ class FigureArtifact:
 def default_scenario(seed: int = 42) -> Scenario:
     """The scenario the figure functions use unless one is supplied."""
     return generate_scenario(ScenarioConfig(prosumer_count=200, seed=seed))
-
-
-def default_session(seed: int = 42) -> "FlexSession":
-    """A batch session over :func:`default_scenario` (the preferred entry)."""
-    from repro.session.facade import FlexSession
-
-    return FlexSession(default_scenario(seed))
 
 
 def _scenario_of(source) -> Scenario:

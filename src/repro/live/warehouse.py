@@ -211,14 +211,6 @@ class LiveWarehouse:
                 slices.delete_where("offer_id", offer.id)
         return touched
 
-    def notification_listener(self):
-        """A hub listener mirroring aggregate changes (for ``hub.subscribe``)."""
-
-        def listener(notification) -> None:
-            self.apply_commit(notification.commit)
-
-        return listener
-
     # ------------------------------------------------------------------
     # Cell drill-down (index hit on group_cell)
     # ------------------------------------------------------------------

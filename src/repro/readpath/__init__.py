@@ -5,11 +5,11 @@ commit publishes an immutable :class:`AggregateSnapshot` (version = the
 commit sequence, structure shared with the previous version where the commit
 skipped), a :class:`SnapshotManager` retains a bounded, pinnable ring of
 them, and a :class:`ResultCache` memoizes ``ResultSet``s keyed on frozen
-spec + version with invalidation driven by the commits' own dirty-cell
-bookkeeping.  ``FlexSession.query()`` routes through the latest snapshot by
-default, making reads lock-free while live/sharded/async engines commit
-underneath; :mod:`repro.readpath.checker` proves it — recorded concurrent
-histories are verified for atomicity (no torn commits) and monotonic reads.
+spec + version, invalidated by each commit's exact raw-offer delta.
+``FlexSession.query()`` routes through the latest snapshot by default, making
+reads lock-free while live/sharded/async engines commit underneath;
+:mod:`repro.readpath.checker` proves it — recorded concurrent histories are
+verified for atomicity (no torn commits) and monotonic reads.
 """
 
 from repro.readpath.cache import ResultCache
@@ -21,7 +21,7 @@ from repro.readpath.checker import (
 )
 from repro.readpath.manager import SnapshotManager
 from repro.readpath.publisher import ReadPath
-from repro.readpath.snapshot import AggregateSnapshot, SnapshotReader
+from repro.readpath.snapshot import AggregateSnapshot
 
 __all__ = [
     "AggregateSnapshot",
@@ -30,7 +30,6 @@ __all__ = [
     "ReadPath",
     "ResultCache",
     "SnapshotManager",
-    "SnapshotReader",
     "run_concurrent_readers",
     "verify_history",
 ]

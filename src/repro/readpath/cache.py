@@ -5,20 +5,23 @@ valid for exactly one snapshot version at a time.  On every published commit
 the cache *advances*: entries provably untouched by the commit are carried to
 the new version (they stay hits), everything else is invalidated.
 
-Invalidation is driven by the same dirty bookkeeping the engines already
-maintain — no second change-tracking system:
+Invalidation re-checks a stored result only against the facts the commit
+changed, the classic check for derived data in deductive databases.  The new
+snapshot carries the commit's exact raw-offer delta (see
+:meth:`~repro.readpath.snapshot.AggregateSnapshot.advance`):
 
-* a commit's ``dirty_cells`` name every grid cell whose membership or
-  content changed; an entry whose matched ids intersect the *previous*
-  members of a dirty cell saw an offer change or leave;
-* a *new* member of a dirty cell that matches the entry's spec means an
-  offer entered the entry's result;
-* changed/removed passthrough aggregates are checked the same two ways.
+* ``departed`` — offer objects that left: withdrawn, migrated out of a cell,
+  or the prior object of a revised offer;
+* ``arrived`` — offer objects that entered: added, migrated in, or the new
+  object of a revised offer.
 
-Anything else cannot alter the entry's selection, and aggregation is a
-deterministic function of the selection — so carrying the entry is sound.
-An entry over untouched cells therefore survives arbitrarily many commits as
-a cache hit, which is what makes the concurrent read path pay off.
+An entry is dropped iff its spec matches some offer in ``departed +
+arrived``.  A result is a deterministic function of the set of offers its
+spec matches; offers are frozen and unchanged offers keep their object, so
+an entry none of whose departed or arrived offers match has exactly the
+same matched set at the new version — carrying it is sound.  An entry over
+untouched offers therefore survives arbitrarily many commits as a cache hit,
+even when its offers share a grid cell with the ones that changed.
 """
 
 from __future__ import annotations
@@ -32,7 +35,6 @@ from repro.obs import get_registry, get_tracer
 from repro.obs.metrics import COUNT_BUCKETS
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.live.engine import CommitResult
     from repro.readpath.snapshot import AggregateSnapshot
     from repro.session.spec import QuerySpec, ResultSet
 
@@ -54,14 +56,11 @@ _CACHE_ADVANCE_SCANNED = _OBS.histogram(
 
 
 class _CacheEntry:
-    __slots__ = ("version", "result", "ids")
+    __slots__ = ("version", "result")
 
-    def __init__(self, version: int, result: "ResultSet", ids: frozenset[int]) -> None:
+    def __init__(self, version: int, result: "ResultSet") -> None:
         self.version = version
         self.result = result
-        #: Ids the spec matched (pre-limit, passthroughs included) — the
-        #: entry's read set, intersected against commit dirt on advance.
-        self.ids = ids
 
 
 class ResultCache:
@@ -110,19 +109,13 @@ class ResultCache:
             _CACHE_MISSES.inc()
         return None
 
-    def put(
-        self,
-        spec: "QuerySpec",
-        version: int,
-        result: "ResultSet",
-        ids: frozenset[int],
-    ) -> None:
+    def put(self, spec: "QuerySpec", version: int, result: "ResultSet") -> None:
         with self._lock:
             if version != self._version:
                 # The fill raced a commit: the result is for a superseded
                 # version and must not be carried forward by advance().
                 return
-            self._entries[spec] = _CacheEntry(version, result, ids)
+            self._entries[spec] = _CacheEntry(version, result)
             self._entries.move_to_end(spec)
             while len(self._entries) > self.max_entries:
                 self._entries.popitem(last=False)
@@ -139,63 +132,29 @@ class ResultCache:
             self._version = version
             _CACHE_ENTRIES.set(0)
 
-    def advance(
-        self,
-        previous: "AggregateSnapshot",
-        snapshot: "AggregateSnapshot",
-        result: "CommitResult",
-    ) -> None:
+    def advance(self, snapshot: "AggregateSnapshot") -> None:
         """Move to ``snapshot.version``: carry untouched entries, drop the rest."""
         if not _OBS.enabled:
-            self._advance(previous, snapshot, result)
+            self._advance(snapshot)
             return
         started = time.perf_counter()
         with _TRACER.span("readpath.cache.advance"):
-            scanned = self._advance(previous, snapshot, result)
+            scanned = self._advance(snapshot)
         _CACHE_ADVANCE_SECONDS.observe(time.perf_counter() - started)
         _CACHE_ADVANCE_SCANNED.observe(scanned)
 
-    def _advance(
-        self,
-        previous: "AggregateSnapshot",
-        snapshot: "AggregateSnapshot",
-        result: "CommitResult",
-    ) -> int:
+    def _advance(self, snapshot: "AggregateSnapshot") -> int:
         """The scan itself; returns how many entries it examined."""
         with self._lock:
             self._version = snapshot.version
             if not self._entries:
                 return 0
             scanned = len(self._entries)
-            dirty_prev_ids: set[int] = set()
-            dirty_new: list = []
-            for cell in result.dirty_cells:
-                for offer in previous.offers_by_cell.get(cell, ()):
-                    dirty_prev_ids.add(offer.id)
-                dirty_new.extend(snapshot.offers_by_cell.get(cell, ()))
-            passthrough_changed = [
-                offer for offer in result.changed if offer.id in snapshot.passthrough
-            ]
-            passthrough_removed_ids = [
-                offer.id for offer in result.removed if offer.id in previous.passthrough
-            ]
+            delta = snapshot.departed + snapshot.arrived
             grid = snapshot.grid
             survivors: "OrderedDict[QuerySpec, _CacheEntry]" = OrderedDict()
-            dropped = 0
             for spec, entry in self._entries.items():
-                invalid = (
-                    not dirty_prev_ids.isdisjoint(entry.ids)
-                    or any(spec.matches(offer, grid) for offer in dirty_new)
-                    or any(
-                        offer.id in entry.ids or spec.matches(offer, grid)
-                        for offer in passthrough_changed
-                    )
-                    or any(
-                        offer_id in entry.ids for offer_id in passthrough_removed_ids
-                    )
-                )
-                if invalid:
-                    dropped += 1
+                if any(spec.matches(offer, grid) for offer in delta):
                     continue
                 entry.version = snapshot.version
                 # Re-stamp the carried result too: it is provably identical at
@@ -203,6 +162,7 @@ class ResultCache:
                 # go backwards (the monotonic-reads half of the checker).
                 entry.result.version = snapshot.version
                 survivors[spec] = entry
+            dropped = scanned - len(survivors)
             self._entries = survivors
             self.invalidations += dropped
             self.carried += len(survivors)

@@ -25,7 +25,6 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Sequence
 
 from repro.errors import ReadPathError
-from repro.readpath.snapshot import SnapshotReader
 from repro.session.query import execute
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -131,8 +130,7 @@ def verify_history(history: ReadHistory, backend) -> list[str]:
                 snapshot = readpath.manager.get(observation.version)
             except ReadPathError:
                 continue  # evicted: unverifiable, not a violation
-            reader = SnapshotReader(snapshot, backend.name)
-            expected = execute(reader, readpath.grid, observation.spec).canonical()
+            expected = execute(snapshot, readpath.grid, observation.spec).canonical()
             verified[key] = expected
         if observation.canonical != expected:
             violations.append(

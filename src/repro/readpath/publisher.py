@@ -16,7 +16,7 @@ from typing import TYPE_CHECKING
 from repro.obs import get_registry
 from repro.readpath.cache import ResultCache
 from repro.readpath.manager import SnapshotManager
-from repro.readpath.snapshot import AggregateSnapshot, SnapshotReader
+from repro.readpath.snapshot import AggregateSnapshot
 from repro.session.query import execute
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -84,7 +84,7 @@ class ReadPath:
         else:
             snapshot = AggregateSnapshot.advance(previous, engine, result)
             self.manager.publish(snapshot)
-            self.cache.advance(previous, snapshot, result)
+            self.cache.advance(snapshot)
         if recording:
             _SNAPSHOT_BUILD_SECONDS.observe(time.perf_counter() - started)
         _SNAPSHOT_VERSION.set(snapshot.version)
@@ -102,8 +102,7 @@ class ReadPath:
             _CACHE_LOOKUP_SECONDS.observe(time.perf_counter() - probe_started)
         if cached is not None:
             return cached
-        reader = SnapshotReader(snapshot, self.name)
-        result = execute(reader, self.grid, spec)
+        result = execute(snapshot, self.grid, spec)
         result.version = snapshot.version
-        self.cache.put(spec, snapshot.version, result, reader.selected_ids)
+        self.cache.put(spec, snapshot.version, result)
         return result

@@ -16,7 +16,10 @@ Two constructors mirror the two ways versions are born:
   snapshot: only the cells a commit actually dirtied are re-read from the
   engine; every clean cell keeps the previous version's tuples.  Snapshot
   cost therefore tracks dirtiness — the same contract the chunk ledger gives
-  commits — not table size.
+  commits — not table size.  The same walk identity-diffs each dirty cell
+  (and the passthrough dict) against the previous version, recording the
+  commit's exact raw-offer delta as :attr:`~AggregateSnapshot.departed` and
+  :attr:`~AggregateSnapshot.arrived` — what the result cache invalidates by.
 
 Reads are index-backed: the first query constraining a value field builds a
 per-field inverted index over the raw offers (lazily, once per snapshot,
@@ -27,7 +30,7 @@ exactly like the warehouse repository's hash indexes do.
 from __future__ import annotations
 
 import threading
-from typing import TYPE_CHECKING, Any, Callable
+from typing import TYPE_CHECKING, Any, Callable, Collection
 
 from repro.aggregation.aggregate import AggregationResult
 from repro.aggregation.aggregate import aggregate as batch_aggregate
@@ -72,6 +75,8 @@ class AggregateSnapshot:
         "outputs_by_cell",
         "passthrough",
         "constituents",
+        "departed",
+        "arrived",
         "_index_lock",
         "_indexes",
         "_raw",
@@ -89,6 +94,8 @@ class AggregateSnapshot:
         outputs_by_cell: dict[Any, tuple[FlexOffer, ...]],
         passthrough: dict[int, FlexOffer],
         constituents: dict[int, tuple[FlexOffer, ...]],
+        departed: tuple[FlexOffer, ...] = (),
+        arrived: tuple[FlexOffer, ...] = (),
     ) -> None:
         self.version = version
         self.name = name
@@ -99,6 +106,12 @@ class AggregateSnapshot:
         self.outputs_by_cell = outputs_by_cell
         self.passthrough = passthrough
         self.constituents = constituents
+        #: Offer objects of the previous version this one no longer holds
+        #: (withdrawn, or superseded by a revision) — empty for a capture.
+        self.departed = departed
+        #: Offer objects this version holds that the previous one did not
+        #: (added, or the new object of a revision) — empty for a capture.
+        self.arrived = arrived
         self._index_lock = threading.Lock()
         self._indexes: dict[str, dict[Any, list[FlexOffer]]] = {}
         self._raw: tuple[FlexOffer, ...] | None = None
@@ -146,15 +159,25 @@ class AggregateSnapshot:
         Clean cells share the previous snapshot's tuples untouched, so the
         build cost is proportional to the commit's dirty membership.  The
         passthrough dict is rebuilt whole — passthrough populations are tiny
-        (input aggregates fed back in) and carry no cell structure to diff.
+        (input aggregates fed back in).
+
+        Each re-read cell is identity-diffed against its previous tuple, and
+        the passthrough dict against the previous one.  Offers are frozen and
+        an unchanged offer keeps its object, so the diff is the commit's exact
+        raw-offer delta: ``departed`` holds the objects that left (withdrawn,
+        migrated out, or the prior object of a revision), ``arrived`` the
+        objects that entered (added, migrated in, or a revision's new object).
         """
         offers_by_cell = dict(previous.offers_by_cell)
         outputs_by_cell = dict(previous.outputs_by_cell)
         constituents = dict(previous.constituents)
+        departed: list[FlexOffer] = []
+        arrived: list[FlexOffer] = []
         for cell in result.dirty_cells:
             for stale in outputs_by_cell.pop(cell, ()):
                 constituents.pop(stale.id, None)
             members = engine.cell_members(cell)
+            _diff(previous.offers_by_cell.get(cell, ()), members, departed, arrived)
             if members:
                 offers_by_cell[cell] = tuple(members)
             else:
@@ -166,6 +189,8 @@ class AggregateSnapshot:
                     group = engine.constituents_of(offer.id)
                     if group:
                         constituents[offer.id] = tuple(group)
+        passthrough = {offer.id: offer for offer in engine.passthrough_offers()}
+        _diff(previous.passthrough.values(), passthrough.values(), departed, arrived)
         return cls(
             version=result.sequence,
             name=previous.name,
@@ -174,8 +199,10 @@ class AggregateSnapshot:
             id_offset=previous.id_offset,
             offers_by_cell=offers_by_cell,
             outputs_by_cell=outputs_by_cell,
-            passthrough={offer.id: offer for offer in engine.passthrough_offers()},
+            passthrough=passthrough,
             constituents=constituents,
+            departed=tuple(departed),
+            arrived=tuple(arrived),
         )
 
     # ------------------------------------------------------------------
@@ -301,29 +328,15 @@ class AggregateSnapshot:
         return batch_aggregate(offers, parameters, id_offset=self.id_offset)
 
 
-class SnapshotReader:
-    """A per-query backend adapter over one snapshot.
-
-    Satisfies the three calls :func:`repro.session.query.execute` makes —
-    ``select``, ``aggregate``, ``name`` — and records the matched offer ids
-    on the way through, which is exactly what the result cache needs to know
-    for dirty-driven invalidation.  One instance per query, so recording is
-    thread-safe without locks.
-    """
-
-    __slots__ = ("snapshot", "name", "selected_ids")
-
-    def __init__(self, snapshot: AggregateSnapshot, name: str | None = None) -> None:
-        self.snapshot = snapshot
-        self.name = name or snapshot.name
-        self.selected_ids: frozenset[int] = frozenset()
-
-    def select(self, spec: QuerySpec) -> tuple[list[FlexOffer], int]:
-        offers, scanned = self.snapshot.select(spec)
-        self.selected_ids = frozenset(offer.id for offer in offers)
-        return offers, scanned
-
-    def aggregate(
-        self, offers: list[FlexOffer], parameters: AggregationParameters
-    ) -> AggregationResult:
-        return self.snapshot.aggregate(offers, parameters)
+def _diff(
+    before: Collection[FlexOffer],
+    after: Collection[FlexOffer],
+    departed: list[FlexOffer],
+    arrived: list[FlexOffer],
+) -> None:
+    """Identity-diff two offer collections into ``departed`` and ``arrived``."""
+    prior = set(map(id, before))
+    kept = set(map(id, after))
+    if prior != kept:
+        departed.extend(offer for offer in before if id(offer) not in kept)
+        arrived.extend(offer for offer in after if id(offer) not in prior)

@@ -11,7 +11,7 @@ dirty membership — the paper's incremental-visualization claim — not the
 population size.
 
 Maintenance is driven by the same dirty bookkeeping the read path trusts
-(see :mod:`repro.readpath.cache`): a commit's ``dirty_cells`` name every
+(see :mod:`repro.readpath.snapshot`): a commit's ``dirty_cells`` name every
 grid cell whose membership changed, so the view re-reads exactly those
 cells' surviving members from the committed engine state, diffs them against
 its mirror, and re-aggregates only the spec-level groups whose membership

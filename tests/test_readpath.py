@@ -1,33 +1,48 @@
 """The versioned read path: snapshots, the result cache and historical reads.
 
-Three contracts from ISSUE 7:
+Three contracts:
 
 * **Versioned reads rebuild exactly** — ``query(at_version=v)`` is equivalent
   to the batch pipeline rebuilt over the population that was committed at
   version ``v``, for every live-family engine.
-* **Cache invalidation is cell-exact** — a commit touching only cells outside
-  a cached entry's read set carries the entry (same object, a hit); a commit
-  touching its cells drops it.
+* **Cache invalidation is offer-exact** — a commit none of whose departed or
+  arrived offers match a cached entry's spec carries the entry (same object,
+  a hit), even when those offers share a grid cell with the entry's offers;
+  a commit changing an offer the spec matches, before or after, drops it.
+  A hypothesis differential checks every cached read against a freshly
+  seeded read path after every commit of random event streams.
 * **The ring is bounded but pin-safe** — eviction keeps ``retain`` versions,
   never the latest or a pinned one; pins release their excess on exit.
 """
 
 from __future__ import annotations
 
+from dataclasses import replace
+from datetime import timedelta
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.datagen.scenarios import ScenarioConfig, generate_scenario
 from repro.errors import ReadPathError, SessionError
-from repro.live.events import OfferWithdrawn
+from repro.flexoffer.model import FlexOfferState
+from repro.live.events import (
+    OfferAdded,
+    OfferStateChanged,
+    OfferUpdated,
+    OfferWithdrawn,
+    apply_transition,
+)
 from repro.live.replay import scenario_event_stream
-from repro.readpath import SnapshotManager
+from repro.readpath import ReadPath, SnapshotManager
 from repro.session import FlexSession
 from repro.session.engines import BatchEngine
 from repro.session.query import execute
 from repro.session.spec import QuerySpec
 from repro.store.recovery import RecoveryManager
+from tests.conftest import make_offer
 
 LIVE_ENGINES = ("live", "sharded", "async")
 
@@ -196,13 +211,12 @@ def test_withdraw_from_fully_skipped_chunk_invalidates_entry(small_scenario):
     retires its singleton chunk alone — the surviving chunks are untouched,
     so the commit reports ``chunks_reaggregated == 0`` — yet the entry's
     matched set contained id 5, so carrying it would serve a withdrawn offer
-    at the new version.  The invalidation scan builds its dirty-id set from
-    the *previous* snapshot's cell members (which still held id 5), which is
-    exactly what makes this sound; this test pins that behaviour.
+    at the new version.  The new snapshot's diff against the previous one
+    (which still held id 5) puts id 5's object in ``departed``, and the spec
+    matches it, which is exactly what makes this sound; this test pins that
+    behaviour.
     """
     from repro.aggregation.parameters import AggregationParameters
-    from repro.live.events import OfferAdded
-    from tests.conftest import make_offer
 
     scenario = small_scenario.replace_offers([])
     parameters = AggregationParameters(max_group_size=2)
@@ -236,6 +250,262 @@ def test_withdraw_from_fully_skipped_chunk_invalidates_entry(small_scenario):
         assert recomputed is not first
         assert recomputed.version == session.engine.readpath.manager.latest_version
         assert sorted(o.id for o in recomputed.offers) == [1, 2, 3, 4]
+
+
+def _session_over(scenario, offers):
+    """A live session over exactly ``offers``, committed once."""
+    session = FlexSession(scenario.replace_offers([]), engine="live", live_preload=False)
+    for offer in offers:
+        session.ingest(OfferAdded(offer.creation_time, offer))
+    session.commit()
+    return session
+
+
+def _commit_counting(session, *events):
+    """Ingest ``events``, commit, and return the (carried, invalidated) deltas."""
+    cache = session.engine.readpath.cache
+    carried, invalidations = cache.carried, cache.invalidations
+    for event in events:
+        session.ingest(event)
+    session.commit()
+    return cache.carried - carried, cache.invalidations - invalidations
+
+
+def test_revision_carries_other_district_sharing_its_cell(small_scenario):
+    """Two districts share one grid cell: revising an offer in one of them
+    carries the other district's raw and aggregated entries and drops its own."""
+    offers = [
+        make_offer(offer_id=1, prosumer_id=1, district="North"),
+        make_offer(offer_id=2, prosumer_id=2, district="North"),
+        make_offer(offer_id=3, prosumer_id=3, district="South"),
+        make_offer(offer_id=4, prosumer_id=4, district="South"),
+    ]
+    with _session_over(small_scenario, offers) as session:
+        engine = session.engine.engine
+        assert len({engine.cell_of(offer.id) for offer in offers}) == 1
+        specs = {
+            (district, parameters): QuerySpec.build(
+                district=district, parameters=parameters
+            )
+            for district in ("North", "South")
+            for parameters in (None, session.parameters)
+        }
+        first = {key: session.query(spec) for key, spec in specs.items()}
+        revised = make_offer(
+            offer_id=3, prosumer_id=3, district="South", profile=((2.0, 4.0), (1.0, 1.0))
+        )
+        cell = engine.cell_of(3)
+        event = OfferUpdated(revised.creation_time, revised)
+        assert _commit_counting(session, event) == (2, 2)
+        assert engine.cell_of(3) == cell  # an in-place revision
+        for key, spec in specs.items():
+            served = session.query(spec)
+            if key[0] == "North":
+                assert served is first[key]
+            else:
+                assert served is not first[key]
+        raw_south = session.query(specs[("South", None)])
+        assert any(offer is revised for offer in raw_south.offers)
+
+
+def test_cell_migration_invalidates_specs_matching_old_or_new_object(small_scenario):
+    """A revision that moves an offer to another cell (and district) drops the
+    entries matching its old or its new object and carries the co-members'."""
+    offers = [
+        make_offer(offer_id=1, prosumer_id=1, district="North", earliest_start=40),
+        make_offer(offer_id=2, prosumer_id=2, district="South", earliest_start=40),
+        make_offer(offer_id=3, prosumer_id=3, district="East", earliest_start=120),
+    ]
+    with _session_over(small_scenario, offers) as session:
+        engine = session.engine.engine
+        specs = {
+            district: QuerySpec.build(district=district)
+            for district in ("North", "South", "East", "West")
+        }
+        first = {district: session.query(spec) for district, spec in specs.items()}
+        assert len(first["West"]) == 0
+        moved = make_offer(offer_id=1, prosumer_id=1, district="West", earliest_start=120)
+        event = OfferUpdated(moved.creation_time, moved)
+        assert _commit_counting(session, event) == (2, 2)
+        assert engine.cell_of(1) == engine.cell_of(3) != engine.cell_of(2)
+        assert session.query(specs["South"]) is first["South"]
+        assert session.query(specs["East"]) is first["East"]
+        assert len(session.query(specs["North"])) == 0
+        assert [offer.id for offer in session.query(specs["West"])] == [1]
+
+
+def test_state_change_out_of_a_state_spec_invalidates_it(small_scenario):
+    """Accepting an offer drops the ``offered`` and ``accepted`` entries and
+    carries a state spec neither of its objects matches."""
+    offers = [
+        make_offer(offer_id=1, prosumer_id=1),
+        make_offer(offer_id=2, prosumer_id=2),
+    ]
+    with _session_over(small_scenario, offers) as session:
+        specs = {
+            state: QuerySpec.build(state=state)
+            for state in ("offered", "accepted", "rejected")
+        }
+        first = {state: session.query(spec) for state, spec in specs.items()}
+        assert len(first["offered"]) == 2
+        event = OfferStateChanged(offers[0].creation_time, 1, FlexOfferState.ACCEPTED)
+        assert _commit_counting(session, event) == (1, 2)
+        assert session.query(specs["rejected"]) is first["rejected"]
+        assert [offer.id for offer in session.query(specs["offered"])] == [2]
+        assert [offer.id for offer in session.query(specs["accepted"])] == [1]
+
+
+def test_passthrough_change_and_removal_drop_only_matching_specs(small_scenario):
+    """A revised or withdrawn passthrough aggregate drops exactly the entries
+    whose specs match it; raw offers sharing nothing with it stay carried."""
+
+    def aggregate(offer_id, district):
+        return replace(
+            make_offer(offer_id=offer_id, district=district),
+            is_aggregate=True,
+            constituent_ids=(7, 8),
+        )
+
+    offers = [
+        make_offer(offer_id=1, prosumer_id=1, district="North"),
+        make_offer(offer_id=2, prosumer_id=2, district="South"),
+        aggregate(50, "North"),
+        aggregate(60, "East"),
+    ]
+    with _session_over(small_scenario, offers) as session:
+        specs = {
+            district: QuerySpec.build(district=district)
+            for district in ("North", "South", "East")
+        }
+        first = {district: session.query(spec) for district, spec in specs.items()}
+        assert {offer.id for offer in first["North"]} == {1, 50}
+        revised = replace(offers[3], price_per_kwh=0.75)
+        event = OfferUpdated(revised.creation_time, revised)
+        assert _commit_counting(session, event) == (2, 1)
+        assert session.query(specs["North"]) is first["North"]
+        assert session.query(specs["South"]) is first["South"]
+        east = session.query(specs["East"])
+        assert east is not first["East"] and list(east.offers) == [revised]
+        withdrawn = OfferWithdrawn(offers[2].assignment_deadline, 50)
+        assert _commit_counting(session, withdrawn) == (2, 1)
+        assert session.query(specs["South"]) is first["South"]
+        assert session.query(specs["East"]) is east
+        assert [offer.id for offer in session.query(specs["North"])] == [1]
+
+
+# ----------------------------------------------------------------------
+# Differential: cached reads against a freshly seeded read path
+# ----------------------------------------------------------------------
+ADD, REVISE, MIGRATE, TRANSITION, WITHDRAW, COMMIT = range(6)
+_DISTRICTS = ("North", "South", "East")
+
+_streams = st.lists(
+    st.tuples(
+        st.sampled_from((ADD, ADD, REVISE, MIGRATE, TRANSITION, WITHDRAW, COMMIT, COMMIT)),
+        st.integers(min_value=0, max_value=10_000),
+    ),
+    min_size=4,
+    max_size=40,
+)
+
+
+def _spec_pool(parameters) -> list[QuerySpec]:
+    """District, state and aggregated specs, plus the untouched anchor's."""
+    pool = [QuerySpec.build(district=district) for district in _DISTRICTS + ("Anchor",)]
+    pool += [QuerySpec.build(state=state) for state in ("offered", "accepted", "rejected")]
+    pool += [
+        QuerySpec.build(district=district, parameters=parameters)
+        for district in _DISTRICTS + ("Anchor",)
+    ]
+    pool.append(QuerySpec.build(parameters=parameters))
+    return pool
+
+
+def _check_cached_reads(session, pool) -> None:
+    """Every pooled ``latest`` read against a read path seeded from the engine."""
+    backend = session.engine
+    fresh = ReadPath(backend.grid, backend.name, backend.parameters)
+    snapshot = fresh.seed(backend.engine)
+    for spec in pool:
+        served = session.query(spec, consistency="latest")
+        expected = fresh.read(snapshot, spec)
+        assert served.version == backend.readpath.manager.latest_version
+        assert served.matches(expected), f"cached read of {spec.describe()!r} diverged"
+        if spec.parameters is None:
+            assert [o.id for o in served] == [o.id for o in expected]
+
+
+@pytest.mark.parametrize("engine", ("live", "sharded"))
+@given(stream=_streams)
+def test_cached_reads_match_a_fresh_read_path_after_every_commit(
+    small_scenario, engine, stream
+):
+    """Random add / in-place revise / cell-migrating revise / state change /
+    withdraw streams, passthrough aggregates included: after every commit each
+    cached spec reads like a read path seeded from the engine from scratch."""
+    anchor = make_offer(offer_id=1, prosumer_id=99, district="Anchor")
+    with FlexSession(
+        small_scenario.replace_offers([]), engine=engine, live_preload=False
+    ) as session:
+        session.ingest(OfferAdded(anchor.creation_time, anchor))
+        session.commit()
+        pool = _spec_pool(session.parameters)
+        _check_cached_reads(session, pool)
+        cache = session.engine.readpath.cache
+        carried_before = cache.carried
+        population: dict[int, object] = {}
+        next_id = 2
+        for op, selector in stream + [(ADD, 0), (COMMIT, 0)]:
+            if op == COMMIT:
+                session.commit()
+                _check_cached_reads(session, pool)
+                continue
+            if op == ADD or not population:
+                offer = make_offer(
+                    offer_id=next_id,
+                    prosumer_id=selector % 5 + 1,
+                    earliest_start=36 + selector % 12,
+                    time_flexibility=4 + selector % 6,
+                    district=_DISTRICTS[selector % 3],
+                )
+                if selector % 7 == 0:
+                    offer = replace(offer, is_aggregate=True, constituent_ids=(7, 8))
+                next_id += 1
+                population[offer.id] = offer
+                session.ingest(OfferAdded(offer.creation_time, offer))
+                continue
+            target = sorted(population)[selector % len(population)]
+            current = population[target]
+            if op == REVISE:  # same cell: only non-grouping attributes move
+                revised = replace(
+                    current,
+                    district=_DISTRICTS[selector % 3],
+                    price_per_kwh=current.price_per_kwh + 0.25,
+                )
+                event = OfferUpdated(current.creation_time, revised)
+            elif op == MIGRATE:
+                shift = 4 + selector % 8
+                revised = replace(
+                    current,
+                    earliest_start_slot=current.earliest_start_slot + shift,
+                    latest_start_slot=current.latest_start_slot + shift,
+                )
+                event = OfferUpdated(current.creation_time, revised)
+            elif op == TRANSITION and current.state is FlexOfferState.OFFERED:
+                state = (FlexOfferState.ACCEPTED, FlexOfferState.REJECTED)[selector % 2]
+                revised = apply_transition(current, state)
+                event = OfferStateChanged(current.creation_time, target, state)
+            elif op == WITHDRAW:
+                del population[target]
+                session.ingest(
+                    OfferWithdrawn(current.assignment_deadline + timedelta(minutes=15), target)
+                )
+                continue
+            else:
+                continue
+            population[target] = revised
+            session.ingest(event)
+        assert cache.carried > carried_before  # the anchor's entries, at least
 
 
 def test_cache_entry_version_follows_carries(small_scenario):
