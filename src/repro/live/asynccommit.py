@@ -1,7 +1,6 @@
 """Asynchronous commits: decouple event ingestion from dirty-set draining.
 
-Both :class:`~repro.live.engine.LiveAggregationEngine` and
-:class:`~repro.live.sharded.ShardedAggregationEngine` commit *synchronously*:
+:class:`~repro.live.engine.LiveAggregationEngine` commits *synchronously*:
 the caller that applied the events also pays for re-aggregating the dirty
 cells.  :class:`AsyncCommitEngine` puts a background worker between the two —
 ``apply`` only enqueues onto a **bounded queue** (blocking when full, so a
@@ -22,7 +21,7 @@ through the two barriers:
 A worker-side failure (e.g. an invalid event) poisons the engine: the queue
 keeps draining so producers never deadlock, but the error re-raises on the
 next ``apply``/``flush``/``commit`` — the async counterpart of the
-synchronous engines raising at the offending ``apply``.
+synchronous engine raising at the offending ``apply``.
 """
 
 from __future__ import annotations
@@ -64,14 +63,13 @@ _WORKER_COMMIT_SECONDS = _OBS.histogram(
 
 
 class AsyncCommitEngine:
-    """A background worker draining events into an inner live-family engine.
+    """A background worker draining events into an inner incremental engine.
 
     Parameters
     ----------
     inner:
-        The engine that owns the state — a ``LiveAggregationEngine`` or a
-        ``ShardedAggregationEngine``.  Its ``micro_batch_size`` must be 0:
-        the worker owns the commit cadence.
+        The engine that owns the state (a ``LiveAggregationEngine``).  Its
+        ``micro_batch_size`` must be 0: the worker owns the commit cadence.
     queue_size:
         Bound of the ingest queue; ``apply`` blocks when it is full.
     drain_batch:
@@ -239,7 +237,7 @@ class AsyncCommitEngine:
         one — subscribers never see a phantom commit from the barrier.  Only
         a barrier on an engine that never committed anything produces (and
         mirrors, and logs) one empty commit, matching the synchronous
-        engines' behaviour of allowing clean commits.
+        engine's behaviour of allowing clean commits.
         """
         self._queue.join()
         self._raise_pending_error()
@@ -259,9 +257,6 @@ class AsyncCommitEngine:
         self._queue.put(_STOP)
         self._worker.join()
         self._commit_if_dirty()
-        close_inner = getattr(self.inner, "close", None)
-        if close_inner is not None:
-            close_inner()
         self._raise_pending_error()
 
     def drain_commits(self) -> list[CommitResult]:

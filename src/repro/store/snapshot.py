@@ -75,8 +75,8 @@ class Checkpoint:
 
     @property
     def engine(self) -> str:
-        """The engine family that wrote the snapshot."""
-        return str(self.manifest["engine"])
+        """The engine family a restore rebuilds by default (the writer's)."""
+        return self.state.engine
 
     def scenario_config(self):
         """The recorded scenario configuration (``None`` when not recorded)."""
@@ -158,10 +158,6 @@ class SnapshotStore:
             "next_id": state.next_id,
             "reserved_ids": list(state.reserved_ids),
             "commit_count": state.commit_count,
-            # Informational (what wrote the snapshot): restores never depend
-            # on shard topology — the state is topology-free and the session
-            # builds its engines with its own defaults.
-            "shard_count": state.shard_count,
             "log_offset": int(log_offset),
             "offer_count": len(state.offers),
             "aggregate_count": len(state.aggregates),
@@ -206,8 +202,15 @@ class SnapshotStore:
                 AggregateRecord.from_dict(payload)
                 for payload in read_jsonl(data_dir / _AGGREGATES)
             ]
+            engine = str(manifest["engine"])
+            if engine == "sharded":
+                # Written by the since-removed thread-sharded engine.  The
+                # state is topology-free (its ``shard_count`` is ignored), so
+                # it restores into the plain live engine; ``reserved_ids``
+                # keeps fencing every id that engine ever allocated.
+                engine = "live"
             state = EngineState(
-                engine=str(manifest["engine"]),
+                engine=engine,
                 parameters=parameters,
                 id_offset=int(manifest["id_offset"]),
                 offers=offers,
@@ -215,7 +218,6 @@ class SnapshotStore:
                 next_id=int(manifest["next_id"]),
                 reserved_ids=tuple(int(r) for r in manifest.get("reserved_ids", ())),
                 commit_count=int(manifest.get("commit_count", 0)),
-                shard_count=int(manifest.get("shard_count", 0)),
             )
         except (KeyError, TypeError, ValueError, OSError) as exc:
             raise StoreError(f"malformed checkpoint in {self.directory}: {exc}") from exc

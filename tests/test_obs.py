@@ -25,9 +25,9 @@ from repro.aggregation.kernel import (
     set_min_slots,
 )
 from repro.errors import ObservabilityError
+from repro.live.asynccommit import AsyncCommitEngine
 from repro.live.engine import LiveAggregationEngine, canonical_form
 from repro.live.replay import replay, scenario_event_stream
-from repro.live.sharded import ShardedAggregationEngine
 from repro.obs.export import export_jsonl, read_jsonl_export, to_prometheus_text
 from repro.obs.metrics import COUNT_BUCKETS, LATENCY_BUCKETS, MetricsRegistry
 from repro.obs.trace import Tracer
@@ -302,11 +302,15 @@ def test_prometheus_text_grammar_and_histogram_series(registry):
 # ----------------------------------------------------------------------
 # The no-observable-effect contract
 # ----------------------------------------------------------------------
+def async_over_live():
+    return AsyncCommitEngine(LiveAggregationEngine())
+
+
 @pytest.mark.parametrize(
     ("engine_factory", "commit_metric"),
     (
         (LiveAggregationEngine, "repro.live.commit.count"),
-        (ShardedAggregationEngine, "repro.live.sharded.commit.seconds"),
+        (async_over_live, "repro.live.async.worker.commit.seconds"),
     ),
 )
 def test_instrumented_replay_is_bit_identical(
@@ -326,6 +330,7 @@ def test_instrumented_replay_is_bit_identical(
             replay(log, engine)
         finally:
             obs.disable()
+            getattr(engine, "close", lambda: None)()
         return TallyCounter(canonical_form(offer) for offer in engine.aggregated_offers())
 
     baseline = run(instrumented=False)
@@ -354,12 +359,9 @@ def test_session_metrics_and_trace_surface(global_obs, scenario):
 
 
 def test_summary_reports_engine_depth_figures(scenario):
-    sharded = FlexSession(scenario, engine="sharded", live_preload=False)
-    assert sharded.summary()["dirty_shards"] == 0
-    sharded.close()
     asynchronous = FlexSession(scenario, engine="async", live_preload=False)
     summary = asynchronous.summary()
-    assert summary["queue_depth"] == 0 and summary["dirty_shards"] == 0
+    assert summary["queue_depth"] == 0 and summary["dirty_cells"] == 0
     asynchronous.close()
     batch = FlexSession(scenario, engine="batch")
     assert "queue_depth" not in batch.summary()
@@ -400,41 +402,41 @@ def test_flexviz_stats_smoke(global_obs, capsys):
 
 
 # ----------------------------------------------------------------------
-# Labeled series (the sharded per-shard fan-out instrumentation)
+# Labeled series
 # ----------------------------------------------------------------------
 def test_labeled_instruments_are_independent_series(registry):
     total = registry.counter("repro.test.fanout", "fan-out total")
-    shard0 = registry.counter("repro.test.fanout", "fan-out total", labels={"shard": "0"})
-    shard1 = registry.counter("repro.test.fanout", labels={"shard": "1"})
-    assert shard0 is not total and shard0 is not shard1
+    part0 = registry.counter("repro.test.fanout", "fan-out total", labels={"part": "0"})
+    part1 = registry.counter("repro.test.fanout", labels={"part": "1"})
+    assert part0 is not total and part0 is not part1
     # Same (name, labels) pair returns the same instrument object.
-    assert registry.counter("repro.test.fanout", labels={"shard": "0"}) is shard0
-    assert registry.get("repro.test.fanout", {"shard": "1"}) is shard1
+    assert registry.counter("repro.test.fanout", labels={"part": "0"}) is part0
+    assert registry.get("repro.test.fanout", {"part": "1"}) is part1
     total.inc(1)
-    shard0.inc(2)
-    shard1.inc(3)
+    part0.inc(2)
+    part1.inc(3)
     snapshot = registry.snapshot()
     assert snapshot["repro.test.fanout"]["value"] == 1
     assert "labels" not in snapshot["repro.test.fanout"]
-    assert snapshot['repro.test.fanout{shard="0"}']["value"] == 2
-    assert snapshot['repro.test.fanout{shard="0"}']["labels"] == {"shard": "0"}
-    assert snapshot['repro.test.fanout{shard="1"}']["value"] == 3
+    assert snapshot['repro.test.fanout{part="0"}']["value"] == 2
+    assert snapshot['repro.test.fanout{part="0"}']["labels"] == {"part": "0"}
+    assert snapshot['repro.test.fanout{part="1"}']["value"] == 3
 
 
 def test_prometheus_labeled_series_share_one_header(registry):
-    base = registry.histogram("repro.test.fan.seconds", "per-shard drain")
-    shard = registry.histogram(
-        "repro.test.fan.seconds", "per-shard drain", labels={"shard": "3"}
+    base = registry.histogram("repro.test.fan.seconds", "per-part drain")
+    part = registry.histogram(
+        "repro.test.fan.seconds", "per-part drain", labels={"part": "3"}
     )
     base.observe(0.002)
-    shard.observe(0.004)
+    part.observe(0.004)
     text = to_prometheus_text(registry)
     # One HELP/TYPE header for the base name, labels only on sample lines.
     assert text.count("# TYPE repro_test_fan_seconds histogram") == 1
     assert text.count("# HELP repro_test_fan_seconds ") == 1
-    assert 'repro_test_fan_seconds_bucket{shard="3",le="' in text
-    assert 'repro_test_fan_seconds_sum{shard="3"}' in text
-    assert 'repro_test_fan_seconds_count{shard="3"} 1' in text
+    assert 'repro_test_fan_seconds_bucket{part="3",le="' in text
+    assert 'repro_test_fan_seconds_sum{part="3"}' in text
+    assert 'repro_test_fan_seconds_count{part="3"} 1' in text
     assert "repro_test_fan_seconds_count 1" in text  # the unlabeled series
     for line in text.rstrip("\n").splitlines():
         assert (
@@ -443,14 +445,14 @@ def test_prometheus_labeled_series_share_one_header(registry):
 
 
 def test_jsonl_round_trip_keeps_labels(registry):
-    shard = registry.counter("repro.test.fanout", "fan-out total", labels={"shard": "5"})
-    shard.inc(4)
+    part = registry.counter("repro.test.fanout", "fan-out total", labels={"part": "5"})
+    part.inc(4)
     buffer = StringIO()
     export_jsonl(buffer, registry)
     metrics, _ = read_jsonl_export(buffer.getvalue().splitlines())
-    key = 'repro.test.fanout{shard="5"}'
+    key = 'repro.test.fanout{part="5"}'
     assert metrics[key]["value"] == 4
-    assert metrics[key]["labels"] == {"shard": "5"}
+    assert metrics[key]["labels"] == {"part": "5"}
 
 
 #: Label values that used to corrupt the exposition text / instrument keys:
@@ -513,7 +515,7 @@ def test_escaping_is_injective_keys_never_collide(registry):
 @pytest.mark.parametrize("value", _ADVERSARIAL_VALUES)
 def test_jsonl_keys_round_trip_adversarial_labels(registry, value):
     """read_jsonl_export re-derives the same instrument key from raw labels."""
-    labels = {"q": value, "shard": "3"}
+    labels = {"q": value, "part": "3"}
     counter = registry.counter("repro.test.hostile", "hostile labels", labels=labels)
     counter.inc(7)
     buffer = StringIO()
@@ -527,24 +529,3 @@ def test_jsonl_keys_round_trip_adversarial_labels(registry, value):
     assert metrics[counter.key]["labels"] == labels
     # And the registry snapshot agrees with the export on every key.
     assert set(metrics) == set(registry.snapshot())
-
-
-def test_sharded_commit_records_per_shard_fanout_series(global_obs, scenario):
-    obs.enable()
-    session = FlexSession(scenario, engine="sharded")  # preload commits
-    obs.disable()
-    try:
-        snapshot = global_obs.snapshot()
-        keys = [
-            key
-            for key in snapshot
-            if key.startswith("repro.live.sharded.fanout.seconds{")
-        ]
-        assert keys, "no per-shard fan-out series recorded"
-        assert all(
-            re.fullmatch(r'repro\.live\.sharded\.fanout\.seconds\{shard="\d+"\}', key)
-            for key in keys
-        )
-        assert all(snapshot[key]["count"] >= 1 for key in keys)
-    finally:
-        session.close()

@@ -2,7 +2,7 @@
 head-based sampling, flip safety, and the flamegraph/trace exporters.
 
 Unit tests build private :class:`MetricsRegistry`/:class:`Tracer` pairs; the
-engine-integration tests (sharded fan-out, async worker) go through the
+engine-integration test (the async worker) goes through the
 ``global_obs`` fixture because the engines bind the process-global tracer at
 import time.
 """
@@ -263,34 +263,6 @@ def test_disable_mid_operation_keeps_the_open_root(tracer, registry):
 # ----------------------------------------------------------------------
 # Engine integration: one trace across threads
 # ----------------------------------------------------------------------
-def test_sharded_commit_is_one_trace_across_pool_threads(global_obs):
-    from repro.live.events import OfferAdded
-    from repro.live.sharded import ShardedAggregationEngine
-
-    from tests.conftest import make_offer
-
-    engine = ShardedAggregationEngine(shard_count=4, parallel_min_cells=1)
-    offers = [make_offer(offer_id=i, earliest_start=8 * i) for i in range(1, 9)]
-    for offer in offers:
-        engine.apply(OfferAdded(offer.creation_time, offer))
-    obs.enable()
-    try:
-        engine.commit()
-    finally:
-        obs.disable()
-    spans = obs.get_tracer().finished()
-    (root,) = [span for span in spans if span.name == "sharded.commit"]
-    assert {span.trace_id for span in spans} == {root.trace_id}
-    (fanout,) = [span for span in spans if span.name == "sharded.commit.fanout"]
-    drains = [span for span in spans if span.name == "sharded.shard.drain"]
-    assert drains and all(span.parent_id == fanout.span_id for span in drains)
-    pool_threads = {span.thread for span in drains}
-    assert all(name.startswith("shard-commit") for name in pool_threads)
-    # The trace genuinely spans threads: the root ran on this thread, the
-    # drains on the pool's.
-    assert root.thread not in pool_threads
-
-
 def test_async_worker_commit_joins_the_ingest_trace(global_obs):
     from repro.live.asynccommit import AsyncCommitEngine
     from repro.live.engine import LiveAggregationEngine
@@ -470,15 +442,15 @@ def test_jsonl_round_trip_keeps_labeled_histogram_buckets(registry):
         "repro.test.lab.seconds",
         "labeled latency",
         boundaries=(0.001, 0.01),
-        labels={"shard": "2"},
+        labels={"part": "2"},
     )
     for value in (0.0005, 0.005, 0.5):
         histogram.observe(value)
     buffer = StringIO()
     export_jsonl(buffer, registry)
     metrics, _ = read_jsonl_export(buffer.getvalue().splitlines())
-    snapshot = metrics['repro.test.lab.seconds{shard="2"}']
-    assert snapshot["labels"] == {"shard": "2"}
+    snapshot = metrics['repro.test.lab.seconds{part="2"}']
+    assert snapshot["labels"] == {"part": "2"}
     assert snapshot["count"] == 3
     assert snapshot["bucket_counts"] == [1, 1, 1]
     assert snapshot["boundaries"] == [0.001, 0.01]
@@ -489,7 +461,7 @@ def test_prometheus_merges_user_labels_with_le_on_every_bucket(registry):
         "repro.test.lab.seconds",
         "labeled latency",
         boundaries=(0.001, 0.01),
-        labels={"shard": "2"},
+        labels={"part": "2"},
     )
     histogram.observe(0.005)
     text = to_prometheus_text(registry)
@@ -500,7 +472,7 @@ def test_prometheus_merges_user_labels_with_le_on_every_bucket(registry):
     ]
     # One line per boundary plus +Inf, each carrying both label sets.
     assert len(bucket_lines) == 3
-    assert all('shard="2"' in line and 'le="' in line for line in bucket_lines)
+    assert all('part="2"' in line and 'le="' in line for line in bucket_lines)
     assert any('le="+Inf"' in line for line in bucket_lines)
 
 

@@ -44,7 +44,7 @@ from repro.session.spec import QuerySpec
 from repro.store.recovery import RecoveryManager
 from tests.conftest import make_offer
 
-LIVE_ENGINES = ("live", "sharded", "async")
+LIVE_ENGINES = ("live", "async")
 
 
 @pytest.fixture(scope="module")
@@ -435,7 +435,7 @@ def _check_cached_reads(session, pool) -> None:
             assert [o.id for o in served] == [o.id for o in expected]
 
 
-@pytest.mark.parametrize("engine", ("live", "sharded"))
+@pytest.mark.parametrize("engine", ("live",))
 @given(stream=_streams)
 def test_cached_reads_match_a_fresh_read_path_after_every_commit(
     small_scenario, engine, stream
@@ -591,16 +591,17 @@ def test_engine_swap_keeps_cumulative_session_totals(small_scenario):
         live_totals = session.summary()
         assert live_totals["events_ingested"] == session.engine.events_ingested
         assert live_totals["chunks_reaggregated"] > 0
-        session.use_engine("sharded")
-        swapped = session.summary()
-        # Both preloaded backends contribute: the totals grew, never reset.
-        assert swapped["events_ingested"] >= 2 * live_totals["events_ingested"]
-        assert swapped["chunks_reaggregated"] >= live_totals["chunks_reaggregated"]
         events = _mutated_events(small_scenario, seed=9)
-        session.replay(events[: len(events) // 2], engine="async", reset=True)
+        half = len(events) // 2
+        session.replay(events[:half], engine="async", reset=True)
         replayed = session.summary()
-        assert replayed["events_ingested"] >= swapped["events_ingested"]
-        assert replayed["chunks_reaggregated"] >= swapped["chunks_reaggregated"]
+        # Both backends contribute: the live totals survive the swap.
+        assert replayed["events_ingested"] == live_totals["events_ingested"] + half
+        assert replayed["chunks_reaggregated"] > live_totals["chunks_reaggregated"]
+        session.use_engine("live")
+        swapped = session.summary()
+        assert swapped["events_ingested"] == replayed["events_ingested"]
+        assert swapped["chunks_reaggregated"] == replayed["chunks_reaggregated"]
         session.use_engine("batch")
         assert "events_ingested" not in session.summary()
 

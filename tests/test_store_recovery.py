@@ -40,7 +40,7 @@ from repro.store import (
     restore_engine_state,
 )
 
-STREAM_ENGINES = ("live", "sharded", "async")
+STREAM_ENGINES = ("live", "async")
 
 _SCENARIO = generate_scenario(ScenarioConfig(prosumer_count=30, seed=13))
 
@@ -125,10 +125,11 @@ def test_checkpoint_at_random_point_plus_tail_equals_full_replay(
 
 @pytest.mark.parametrize("target", STREAM_ENGINES)
 def test_cross_engine_restore(target, tmp_path):
-    """A checkpoint written by one engine family restores into any other."""
+    """A checkpoint written by one engine family restores into the other."""
     ordered = _STREAMS[(0.25, 0.15)]
     cut = int(len(ordered) * 0.6)
-    writer = FlexSession(_SCENARIO, engine="sharded", live_preload=False)
+    source = "async" if target == "live" else "live"
+    writer = FlexSession(_SCENARIO, engine=source, live_preload=False)
     manager = RecoveryManager(tmp_path, segment_size=64)
     manager.record(ordered)
     writer.replay(ordered[:cut])
@@ -140,13 +141,90 @@ def test_cross_engine_restore(target, tmp_path):
     ref_state, ref_profiles, ref_ids = _REFERENCES[(target, (0.25, 0.15))]
     assert sorted(o.id for o in restored.engine.offers()) == ref_ids
     assert _canonical_state(restored) == ref_state
-    # Provenance stays reachable even when ids came from another family's
-    # allocator (non-congruent ids probe all shards).
+    # Provenance stays reachable for ids another family's allocator handed out.
     aggregates = [o for o in restored.engine.engine.aggregated_offers() if o.is_aggregate]
     inner = restored.engine.engine
     owned = [a for a in aggregates if inner.constituents_of(a.id)]
     assert owned == aggregates
     RecoveryManager(tmp_path).verify(restored)
+    restored.close()
+
+
+def test_legacy_sharded_checkpoint_restores_into_live(tmp_path):
+    """Checkpoints from the removed thread-sharded engine stay restorable.
+
+    Such a manifest records ``"engine": "sharded"``, a ``shard_count`` and
+    reserved aggregate ids spaced by that count.  The state itself is
+    topology-free, so it restores into the live engine by default — equal to
+    a cold replay — and the reserved ids keep fencing the allocator.
+    """
+    import json
+    from dataclasses import replace
+
+    from repro.errors import SessionError
+    from repro.live.events import OfferUpdated
+
+    mutation = (0.25, 0.15)
+    ordered = _STREAMS[mutation]
+    cut = int(len(ordered) * 0.6)
+    writer = FlexSession(_SCENARIO, engine="live", live_preload=False)
+    manager = RecoveryManager(tmp_path, segment_size=64)
+    manager.record(ordered)
+    writer.replay(ordered[:cut])
+    manager.checkpoint(writer)
+    writer.close()
+
+    # Rewrite the manifest as the sharded engine wrote it: 8 shards, each
+    # allocating ids in its own congruence class, the high-water mark past
+    # every one of them.
+    manifest_path = tmp_path / "manifest.json"
+    manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+    base = manifest["next_id"]
+    spread = [base, base + 8, base + 16]
+    manifest["engine"] = "sharded"
+    manifest["shard_count"] = 8
+    manifest["reserved_ids"] = sorted(set(manifest["reserved_ids"]) | set(spread))
+    manifest["next_id"] = spread[-1] + 1
+    manifest_path.write_text(json.dumps(manifest), encoding="utf-8")
+    reserved = set(manifest["reserved_ids"])
+
+    with pytest.raises(SessionError):
+        FlexSession.restore(str(tmp_path), engine="sharded")
+
+    restored = FlexSession.restore(str(tmp_path))
+    assert restored.engine_name == "live"
+    ref_state, ref_profiles, ref_ids = _REFERENCES[("live", mutation)]
+    assert sorted(o.id for o in restored.engine.offers()) == ref_ids
+    assert _canonical_state(restored) == ref_state
+    assert _profiles(restored) == ref_profiles
+
+    # Move a second offer into a singleton cell: the commit must allocate a
+    # fresh aggregate id, and never one the old engine handed out.
+    engine = restored.engine.engine
+    raw = [o for o in engine.offers() if not o.is_aggregate]
+    singles = [o for o in raw if engine.outputs_of_cell(engine.cell_of(o.id)) == [o]]
+    assert singles, "fixture needs a singleton cell"
+    anchor = singles[0]
+    anchor_cell = engine.cell_of(anchor.id)
+    mover = next(
+        o for o in raw if o.direction == anchor.direction and engine.cell_of(o.id) != anchor_cell
+    )
+    moved = replace(
+        mover,
+        earliest_start_slot=anchor.earliest_start_slot,
+        latest_start_slot=anchor.latest_start_slot,
+        creation_time=anchor.creation_time,
+        acceptance_deadline=anchor.acceptance_deadline,
+        assignment_deadline=anchor.assignment_deadline,
+    )
+    before = {o.id for o in engine.aggregated_offers() if o.is_aggregate}
+    restored.ingest(OfferUpdated(moved.creation_time, moved))
+    restored.commit()
+    outputs = engine.aggregated_offers()
+    fresh = {o.id for o in outputs if o.is_aggregate} - before
+    assert fresh, "the commit allocated no aggregate"
+    assert not fresh & reserved
+    assert len({o.id for o in outputs}) == len(outputs)
     restored.close()
 
 
@@ -416,7 +494,7 @@ def test_session_checkpoint_records_backend_offset(tmp_path):
     session.close()
 
 
-@pytest.mark.parametrize("target_engine", ("live", "sharded"))
+@pytest.mark.parametrize("target_engine", ("live", "async"))
 def test_restore_rebuilds_chunk_ledger_clean(target_engine):
     """Restore must not cause spurious first-commit re-aggregation.
 
@@ -429,9 +507,9 @@ def test_restore_rebuilds_chunk_ledger_clean(target_engine):
     from dataclasses import replace
 
     from repro.aggregation.parameters import AggregationParameters
+    from repro.live.asynccommit import AsyncCommitEngine
     from repro.live.engine import LiveAggregationEngine
     from repro.live.events import OfferAdded, OfferUpdated
-    from repro.live.sharded import ShardedAggregationEngine
     from tests.conftest import make_offer
 
     parameters = AggregationParameters(max_group_size=4)
@@ -445,7 +523,7 @@ def test_restore_rebuilds_chunk_ledger_clean(target_engine):
     restored = (
         LiveAggregationEngine(parameters)
         if target_engine == "live"
-        else ShardedAggregationEngine(parameters, shard_count=3, parallel=False)
+        else AsyncCommitEngine(LiveAggregationEngine(parameters))
     )
     restore_engine_state(restored, state)
     assert restored.dirty_chunk_count == 0
@@ -464,3 +542,4 @@ def test_restore_rebuilds_chunk_ledger_clean(target_engine):
     state_live = Counter(canonical_form(o) for o in restored.aggregated_offers())
     state_batch = Counter(canonical_form(o) for o in restored.batch_equivalent().offers)
     assert state_live == state_batch
+    getattr(restored, "close", lambda: None)()
